@@ -292,6 +292,42 @@ mod tests {
     }
 
     #[test]
+    fn bands_at_matches_general_eigensolver_on_tb_and_dft_leads() {
+        // The Hermitian-definite band solve against the general `B⁻¹A`
+        // pipeline on the same pencil, for the orthogonal tight-binding
+        // lead and the non-orthogonal Dft3sp lead (S ≠ I), at real and
+        // complex-phase k (kz ≠ 0 makes H(k) genuinely complex).
+        for basis in [BasisKind::TightBinding, BasisKind::Dft3sp] {
+            let spec = DeviceBuilder::utb(0.8).cells(4).basis(basis).build();
+            let d = Device::build(spec).unwrap();
+            let lead = d.at_kz(0.7).lead_l;
+            for k in [0.0, 0.9, 2.3] {
+                let phase = Complex64::from_phase(k);
+                let pencil = |m00: &ZMat, m01: &ZMat| {
+                    let mut m = m00.clone();
+                    m.axpy(phase, m01);
+                    m.axpy(phase.conj(), &m01.adjoint());
+                    m
+                };
+                let hk = pencil(&lead.h00, &lead.h01);
+                let sk = pencil(&lead.s00, &lead.s01);
+                let mut reference: Vec<f64> = qtx_linalg::eig_generalized(&hk, &sk)
+                    .unwrap()
+                    .values
+                    .iter()
+                    .map(|z| z.re)
+                    .collect();
+                reference.sort_by(f64::total_cmp);
+                let bands = lead.bands_at(k);
+                assert_eq!(bands.len(), reference.len());
+                for (b, r) in bands.iter().zip(&reference) {
+                    assert!((b - r).abs() < 1e-10, "{basis:?} k = {k}: {b} vs {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn atom_and_orbital_counts() {
         let d = small_device();
         assert_eq!(d.n_atoms(), d.base.unit_cell.atoms_per_cell * 8);

@@ -117,13 +117,14 @@ pub fn subband_edges(lead: &LeadBlocks, e_lo: f64, e_hi: f64) -> Vec<f64> {
             }
         }
     }
-    edges.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    edges.sort_by(f64::total_cmp);
     edges
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtx_linalg::{c64, ZMat};
 
     fn chain() -> LeadBlocks {
         LeadBlocks::chain_1d(0.0, -1.0)
@@ -134,6 +135,20 @@ mod tests {
         let edges = subband_edges(&chain(), -3.0, 3.0);
         assert!(edges.iter().any(|&e| (e + 2.0).abs() < 1e-6), "bottom at −2: {edges:?}");
         assert!(edges.iter().any(|&e| (e - 2.0).abs() < 1e-6), "top at +2");
+    }
+
+    #[test]
+    fn multi_band_edges_are_sorted_over_an_unbounded_window() {
+        // Two gapped bands, window open at both ends: every band extremum
+        // is an edge and the list comes back ascending (total order).
+        let h00 = ZMat::from_diag(&[c64(1.5, 0.0), c64(-1.5, 0.0)]);
+        let h01 = ZMat::from_diag(&[c64(-0.3, 0.0), c64(0.3, 0.0)]);
+        let lead = LeadBlocks::new(h00, h01, ZMat::identity(2), ZMat::zeros(2, 2));
+        let edges = subband_edges(&lead, f64::NEG_INFINITY, f64::INFINITY);
+        assert!(edges.windows(2).all(|w| w[0] < w[1]), "{edges:?}");
+        for want in [-2.1, -0.9, 0.9, 2.1] {
+            assert!(edges.iter().any(|&e| (e - want).abs() < 1e-9), "{want} missing: {edges:?}");
+        }
     }
 
     #[test]

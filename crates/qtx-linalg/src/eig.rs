@@ -1,9 +1,13 @@
-//! Dense complex eigensolvers (`zgeev`/`zggev`-lite).
+//! Dense complex non-Hermitian eigensolvers (`zgeev`/`zggev`-lite).
 //!
-//! The shift-and-invert OBC baseline and FEAST's Rayleigh–Ritz step both
-//! end in a dense non-Hermitian eigenvalue problem (§3.A, Eq. 7). LAPACK's
-//! `zggev` is unavailable here, so this module implements the classic
-//! pipeline from scratch:
+//! The shift-and-invert OBC baseline, the companion pencil, FEAST's
+//! Rayleigh–Ritz step and Beyn's reduced matrix all end in a dense
+//! non-Hermitian eigenvalue problem (§3.A, Eq. 7); those are the only
+//! callers of this module. Hermitian problems (lead band structures,
+//! FEAST/Beyn Gram matrices, the CP2K SCF) go through [`crate::eigh`],
+//! which returns real sorted eigenvalues at a fraction of the cost.
+//! LAPACK's `zggev` is unavailable here, so this module implements the
+//! classic pipeline from scratch:
 //!
 //! 1. Householder reduction to upper Hessenberg form — **blocked** above
 //!    the ~96 crossover shared with the LU stack: panels of 32
@@ -32,7 +36,7 @@ use crate::complex::{c64, Complex64};
 use crate::flops::{counts, flops_add};
 use crate::gemm::{gemm_into_unc, Op};
 use crate::lu::{lu_factor_owned_ws, lu_factor_ws};
-use crate::qr::{apply_panel_wy, qr_unblocked_forced, stage_v, zlarfg};
+use crate::qr::{apply_panel_wy, stage_v, zlarfg};
 use crate::trmm::trmm_unc;
 use crate::trsm::{Diag, Side, UpLo};
 use crate::workspace::Workspace;
@@ -89,7 +93,7 @@ pub fn hessenberg_ws(a: &ZMat, ws: &Workspace) -> (ZMat, ZMat) {
         q[(i, i)] = Complex64::ONE;
     }
     let kmax = n.saturating_sub(2);
-    if n >= BLOCK_MIN && !qr_unblocked_forced() {
+    if n >= BLOCK_MIN {
         let k0 = hess_blocked_panels(&mut h, &mut q, kmax, ws);
         hess_scalar_steps(&mut h, &mut q, k0, kmax);
     } else {

@@ -183,6 +183,42 @@ pub mod counts {
     pub fn zgehrd(n: usize) -> u64 {
         80 * (n as u64).pow(3) / 3
     }
+
+    /// Householder reduction of a Hermitian n×n matrix to real tridiagonal
+    /// form (`zhetrd`): one Hermitian matrix-vector product and one rank-2
+    /// update of the shrinking lower triangle per column, (2/3)·n³
+    /// complex multiply-adds ≈ (16/3)·n³ real operations.
+    #[inline]
+    pub fn zhetrd(n: usize) -> u64 {
+        16 * (n as u64).pow(3) / 3
+    }
+
+    /// Assembling the unitary `Q` of [`zhetrd`] from its reflectors
+    /// (`zungtr`): each reflector updates only the trailing block it can
+    /// change, the same (16/3)·n³ as the reduction.
+    #[inline]
+    pub fn zungtr(n: usize) -> u64 {
+        16 * (n as u64).pow(3) / 3
+    }
+
+    /// Implicit-shift QL on a real symmetric n×n tridiagonal (`zsteqr`):
+    /// ≈ 30·n² for the eigenvalues (a few sweeps of O(n) work per
+    /// eigenvalue), plus ≈ n² Givens rotations of complex n-vectors
+    /// (12·n real operations each) when the eigenvectors are accumulated.
+    #[inline]
+    pub fn zsteqr(n: usize, vectors: bool) -> u64 {
+        let n = n as u64;
+        30 * n * n + if vectors { 12 * n * n * n } else { 0 }
+    }
+
+    /// Reduction of the Hermitian-definite pencil `A·x = λ·L·Lᴴ·x` to the
+    /// standard form `L⁻¹·A·L⁻ᴴ` (`zhegst`) with two full triangular
+    /// solves: 2·[`ztrsm`]`(n, n)`. The Cholesky factor itself counts as
+    /// the [`zhetrf`] it is derived from.
+    #[inline]
+    pub fn zhegst(n: usize) -> u64 {
+        2 * ztrsm(n, n)
+    }
 }
 
 #[cfg(test)]

@@ -37,13 +37,22 @@
 //!   §5.E optimization that lifted Titan from 12.8 to 15 PFlop/s), same
 //!   blocked structure at half the flops.
 //! * [`qr`] — blocked compact-WY Householder QR (panel + `T`-via-trsm +
-//!   gemm trailing updates above a measured ~192 crossover, scalar baseline
-//!   behind [`qr::force_unblocked_qr`]), orthonormalization and least
-//!   squares, with workspace-borrowing factor/apply entry points.
-//! * [`eig`] — blocked (`zlahr2`-style) Hessenberg reduction + implicitly
-//!   shifted complex QR (Schur form), eigenvectors, and the generalized
-//!   solver used by the FEAST Rayleigh–Ritz step (`zggev`-lite), all with
-//!   pooled `_ws` forms.
+//!   gemm trailing updates above a measured ~160 crossover, the scalar
+//!   [`qr::qr_factor_unblocked`] kept callable as the A/B baseline),
+//!   orthonormalization and least squares, with workspace-borrowing
+//!   factor/apply entry points.
+//! * [`eigh`] — the Hermitian solvers (`zheev`/`zhegv`-lite): Householder
+//!   tridiagonalization + implicit-shift QL, real ascending eigenvalues,
+//!   optional eigenvectors, and the Hermitian-definite `A·x = λ·S·x` form
+//!   through a Cholesky reduction. They serve every Hermitian problem:
+//!   lead band structures (grid planning, band edges), the FEAST/Beyn
+//!   Gram matrices and the CP2K SCF.
+//! * [`eig`] — the general non-Hermitian solvers: blocked
+//!   (`zlahr2`-style) Hessenberg reduction + shifted complex QR (Schur
+//!   form), eigenvectors, and the generalized `B⁻¹A` solver
+//!   (`zggev`-lite). They serve only the non-Hermitian pencils: FEAST's
+//!   Rayleigh–Ritz step, the companion and shift-invert OBC baselines and
+//!   Beyn's reduced matrix. All with pooled `_ws` forms.
 //! * [`flops`] — deterministic FLOP accounting mirroring the paper's
 //!   PAPI/CUPTI measurement methodology (§5.B).
 //!
@@ -52,6 +61,7 @@
 
 pub mod complex;
 pub mod eig;
+pub mod eigh;
 pub mod fault;
 pub mod flops;
 pub mod gemm;
@@ -72,6 +82,7 @@ pub use eig::{
     eig, eig_generalized, eig_generalized_ws, eig_ws, eigenvalues, hessenberg,
     hessenberg_unblocked, hessenberg_ws, schur, schur_ws, EigDecomposition, SchurDecomposition,
 };
+pub use eigh::{eigh, eigh_generalized, eigh_generalized_ws, eigh_ws, EighDecomposition, EighJob};
 pub use flops::{flops_reset, flops_thread, flops_total, FlopScope};
 pub use gemm::{gemm, gemm_into, gemm_view, gemv, matmul, Op};
 pub use her2k::zher2k;
@@ -89,8 +100,8 @@ pub use lu::{
     lu_inverse, lu_solve, zgesv, zgesv_into, zgesv_nopiv, zgesv_nopiv_into, LuFactors,
 };
 pub use qr::{
-    force_unblocked_qr, orthonormality_defect, orthonormalize, orthonormalize_ws, pinv_apply, qr,
-    qr_factor, qr_factor_unblocked, qr_factor_ws, qr_least_squares, QrFactors,
+    orthonormality_defect, orthonormalize, orthonormalize_ws, pinv_apply, qr, qr_factor,
+    qr_factor_unblocked, qr_factor_ws, qr_least_squares, QrFactors,
 };
 pub use rng::Pcg64;
 pub use trmm::ztrmm;
@@ -109,6 +120,10 @@ pub enum LinalgError {
     SingularPivot { index: usize, magnitude: f64 },
     /// The QR eigen-iteration failed to deflate within the iteration cap.
     NoConvergence { remaining: usize },
+    /// A matrix required to be Hermitian positive definite (the overlap of
+    /// a Hermitian-definite eigenproblem) has a non-positive pivot at
+    /// `index` in its Cholesky/LDLᴴ factorization.
+    NotPositiveDefinite { index: usize, pivot: f64 },
     /// Matrix dimensions are inconsistent for the requested operation.
     DimensionMismatch { expected: (usize, usize), got: (usize, usize) },
     /// A kernel produced NaN/Inf entries (`count` of them) where finite
@@ -151,6 +166,9 @@ impl std::fmt::Display for LinalgError {
             }
             LinalgError::NoConvergence { remaining } => {
                 write!(f, "eigen-iteration failed to converge ({remaining} eigenvalues remaining)")
+            }
+            LinalgError::NotPositiveDefinite { index, pivot } => {
+                write!(f, "matrix not positive definite: pivot {index} is {pivot:.3e}")
             }
             LinalgError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected:?}, got {got:?}")

@@ -40,9 +40,10 @@
 //! [`QrFactors`], so `Q`-applications (`apply_qh`, `q_thin`, least
 //! squares) replay the same blocked WY updates instead of one reflector
 //! at a time, and the `R` back-substitution is a blocked [`crate::trsm`]
-//! sweep. The unblocked path is kept as a runtime A/B baseline behind
-//! [`force_unblocked_qr`] (used by `bench_qr_json`), and every entry
-//! point has a workspace-borrowing form ([`qr_factor_ws`],
+//! sweep. The unblocked path stays callable as [`qr_factor_unblocked`]
+//! (the A/B baseline `bench_qr_json` and the blocked-vs-unblocked tests
+//! call directly; dispatch is by shape only), and every entry point has
+//! a workspace-borrowing form ([`qr_factor_ws`],
 //! [`QrFactors::apply_qh_into`], [`QrFactors::least_squares_into`],
 //! [`QrFactors::q_thin_into`]) so warm factor/apply loops perform zero
 //! fresh matrix allocations.
@@ -54,7 +55,6 @@ use crate::trmm::trmm_unc;
 use crate::trsm::{trsm_unc, Diag, Side, UpLo};
 use crate::workspace::Workspace;
 use crate::zmat::{ZMat, ZMatMut, ZMatRef};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Panel width of the blocked factorization (wider than the LU/LDL
 /// 32-panels: the QR panel amortizes its scalar dot products over two
@@ -82,23 +82,6 @@ const BLOCK_MIN: usize = 160;
 /// WY gemms amortize over the long columns much sooner — measured
 /// 1.3–1.7× over unblocked at 528×128/1040×128, parity at 784×96.
 const BLOCK_MIN_TALL: usize = 128;
-
-/// A/B baseline switch: `true` forces every QR factorization (and the
-/// blocked Hessenberg reduction in [`crate::eig`]) through the unblocked
-/// scalar path regardless of size.
-static FORCE_UNBLOCKED: AtomicBool = AtomicBool::new(false);
-
-/// Routes QR factorizations (and the Hessenberg reduction) through the
-/// unblocked baseline (or back). Benchmark-only: `bench_qr_json` uses it
-/// to measure blocked-vs-unblocked speedups end to end in one process.
-pub fn force_unblocked_qr(on: bool) {
-    FORCE_UNBLOCKED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the unblocked baseline is currently forced.
-pub(crate) fn qr_unblocked_forced() -> bool {
-    FORCE_UNBLOCKED.load(Ordering::Relaxed)
-}
 
 /// Packed Householder QR factors of an m×n matrix (m ≥ n).
 #[derive(Debug, Clone)]
@@ -145,7 +128,7 @@ fn factor_entry(mut p: ZMat, ws: Option<&Workspace>) -> QrFactors {
         Some(ws) => ws.take_scratch(n, 1),
         None => ZMat::zeros(n, 1),
     };
-    let blocked = !qr_unblocked_forced() && (n >= BLOCK_MIN || (n >= BLOCK_MIN_TALL && m >= 4 * n));
+    let blocked = n >= BLOCK_MIN || (n >= BLOCK_MIN_TALL && m >= 4 * n);
     let ts = if !blocked {
         factor_panel(&mut p, &mut tau, 0, n, n);
         ZMat::empty()
@@ -369,7 +352,7 @@ pub(crate) fn stage_v(src: &ZMatRef<'_>, vbuf: &mut ZMat) {
 /// against the identity with one trsm. A vanishing τ (exactly dependent
 /// column) voids the inverse formulation, so that case falls back to the
 /// `zlarft` column recurrence `T(0:j, j) = −τ_j·T·S(0:j, j)`.
-fn build_t(
+pub(crate) fn build_t(
     v: ZMatRef<'_>,
     tau: &ZMat,
     sbuf: &mut ZMat,
@@ -822,18 +805,6 @@ mod tests {
         let q = f.q_thin();
         // Q still reproduces A with R (rank-deficient R has ~zero rows).
         assert!((&q * &f.r()).max_diff(&a) < 1e-8);
-    }
-
-    #[test]
-    fn force_unblocked_switch_controls_dispatch() {
-        let a = ZMat::random(224, 224, 51);
-        let fb = qr_factor(&a);
-        assert!(fb.ts.cols() > 0);
-        force_unblocked_qr(true);
-        let fu = qr_factor(&a);
-        force_unblocked_qr(false);
-        assert_eq!(fu.ts.cols(), 0, "forced factorization must be unblocked");
-        assert!(fb.packed.max_diff(&fu.packed) < 1e-8);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! A₀ = (1/2πi) ∮ P(z)⁻¹·V̂ dz          A₁ = (1/2πi) ∮ z·P(z)⁻¹·V̂ dz
 //! ```
 //!
-//! With the rank-revealing SVD-like factorization `A₀ = Q·Σ·Wᴴ`, the
+//! With the rank-revealing SVD-like factorization `A₀ = Q·Σ·Wᴴ` (the
+//! Hermitian eigensolver on the Gram matrix `A₀ᴴA₀ = W·Σ²·Wᴴ`), the
 //! `m × m` matrix `B = Qᴴ·A₁·W·Σ⁻¹` has exactly the eigenvalues enclosed
-//! by the contour, and its eigenvectors lift to the pencil's. One pass —
+//! by the contour, and its eigenvectors lift to the pencil's (`B` is not
+//! Hermitian, so it goes through the general eigensolver). One pass —
 //! no refinement loop — at the same per-node cost as FEAST's quadrature,
 //! which is the claimed saving.
 //!
@@ -25,7 +27,7 @@
 
 use crate::companion::CompanionPencil;
 use crate::error::{ObcError, ObcOutcome};
-use qtx_linalg::{eig_ws, gemm, zherk, Complex64, Op, Workspace, ZMat};
+use qtx_linalg::{eig_ws, eigh_ws, gemm, zherk, Complex64, EighJob, Op, Workspace, ZMat};
 use rayon::prelude::*;
 
 /// Beyn configuration.
@@ -138,41 +140,39 @@ fn beyn_core(
     }
     ws.recycle(v_hat);
     // Rank-revealing factorization of A₀ through its Gram matrix
-    // (A₀ = Q·Σ·Wᴴ with Q = A₀·W·Σ⁻¹): eigen-decompose A₀ᴴA₀ = W·Σ²·Wᴴ
-    // with the Hermitian rank-k update (half the flops of a full gemm).
+    // (A₀ = Q·Σ·Wᴴ with Q = A₀·W·Σ⁻¹): eigen-decompose the Hermitian
+    // positive semidefinite A₀ᴴA₀ = W·Σ²·Wᴴ — built with the Hermitian
+    // rank-k update (half the flops of a full gemm) and diagonalized by
+    // the Hermitian eigensolver, whose ascending values put the kept
+    // singular directions in one contiguous tail.
     let mut gram = ws.take(probes, probes);
     zherk(1.0, a0.view(), Op::Adjoint, 0.0, &mut gram);
-    let dec = match eig_ws(&gram, ws) {
+    let dec = eigh_ws(&gram, EighJob::ValuesAndVectors, ws);
+    ws.recycle(gram);
+    let dec = match dec {
         Ok(dec) => dec,
         Err(e) => {
-            for m in [gram, a0, a1] {
-                ws.recycle(m);
-            }
+            ws.recycle(a0);
+            ws.recycle(a1);
             return Err(e.into());
         }
     };
-    ws.recycle(gram);
-    let smax = dec.values.iter().map(|v| v.re).fold(0.0f64, f64::max);
-    let keep: Vec<usize> =
-        (0..probes).filter(|&j| dec.values[j].re > cfg.rank_tol * smax).collect();
-    let m = keep.len();
+    let vectors = dec.vectors.expect("eigenvectors requested");
+    let smax = dec.values.last().copied().unwrap_or(0.0).max(0.0);
+    let first = dec.values.partition_point(|&s| s <= cfg.rank_tol * smax);
+    let m = probes - first;
     *rank_out = m;
     if smax <= 0.0 || m == 0 {
-        ws.recycle(dec.vectors);
+        ws.recycle(vectors);
         ws.recycle(a0);
         ws.recycle(a1);
         return Ok(Vec::new()); // empty annulus
     }
     // W_m (probes × m) and Σ_m⁻¹.
-    let mut w_m = ws.take(probes, m);
-    let mut sig_inv = vec![0.0; m];
-    for (jj, &j) in keep.iter().enumerate() {
-        for i in 0..probes {
-            w_m[(i, jj)] = dec.vectors[(i, j)];
-        }
-        sig_inv[jj] = 1.0 / dec.values[j].re.sqrt();
-    }
-    ws.recycle(dec.vectors);
+    let mut w_m = ws.take_scratch(probes, m);
+    w_m.view_mut().copy_from_view(vectors.block_view(0, first, probes, m));
+    let sig_inv: Vec<f64> = dec.values[first..].iter().map(|s| 1.0 / s.sqrt()).collect();
+    ws.recycle(vectors);
     // Q = A₀·W·Σ⁻¹ (nbc × m). Its columns are orthonormal to roundoff by
     // construction; re-orthonormalizing with QR would rotate Q against the
     // SVD factor and destroy the exact similarity of B below.

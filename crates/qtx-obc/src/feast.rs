@@ -16,12 +16,16 @@
 //! points are independent — the parallelism the paper exploits across
 //! CPU cores — so the factorizations run under rayon here. Rayleigh–Ritz
 //! on the orthonormalized subspace (Eq. 7) plus residual-driven subspace
-//! iteration refine the eigenpairs.
+//! iteration refine the eigenpairs. The orthonormalization truncates the
+//! projector output's rank through the Hermitian eigensolver on its Gram
+//! matrix; the reduced Rayleigh–Ritz pencil is not Hermitian and stays on
+//! the general eigensolver.
 
 use crate::companion::CompanionPencil;
 use crate::error::{ObcError, ObcOutcome};
 use qtx_linalg::{
-    eig_generalized_ws, eig_ws, gemm_view, orthonormalize_ws, zherk, Complex64, Op, Workspace, ZMat,
+    eig_generalized_ws, eigh_ws, gemm_view, orthonormalize_ws, zherk, Complex64, EighJob, Op,
+    Workspace, ZMat,
 };
 use rayon::prelude::*;
 
@@ -33,38 +37,35 @@ use rayon::prelude::*;
 /// roundoff and flood the Rayleigh–Ritz step with spurious Ritz values.
 /// Diagonalizing the Gram matrix `(P·Y)ᴴ(P·Y)` and dropping directions
 /// below `rel_tol·λ_max` keeps exactly the numerically meaningful
-/// subspace. Every temporary — the Gram matrix, the eigenvector basis,
-/// the cleaned `Q` itself — cycles through the caller's pool.
+/// subspace. The Gram matrix is Hermitian positive semidefinite, so the
+/// Hermitian eigensolver diagonalizes it: real ascending eigenvalues put
+/// the kept directions in one contiguous tail. Every temporary — the Gram
+/// matrix, the eigenvector basis, the cleaned `Q` itself — cycles through
+/// the caller's pool.
 fn orthonormalize_rank(p: &ZMat, rel_tol: f64, ws: &Workspace) -> ObcOutcome<ZMat> {
     let m = p.cols();
     let mut g = ws.take(m, m);
     // Gram matrix through the Hermitian rank-k update: half the flops of
     // the general product, Hermitian by construction (no symmetrization).
     zherk(1.0, p.view(), Op::Adjoint, 0.0, &mut g);
-    let dec = match eig_ws(&g, ws) {
-        Ok(dec) => {
-            ws.recycle(g);
-            dec
-        }
-        Err(e) => {
-            ws.recycle(g);
-            return Err(e.into());
-        }
-    };
-    let lmax = dec.values.iter().map(|v| v.re).fold(0.0, f64::max);
+    let dec = eigh_ws(&g, EighJob::ValuesAndVectors, ws);
+    ws.recycle(g);
+    let dec = dec?;
+    let vectors = dec.vectors.expect("eigenvectors requested");
+    let lmax = dec.values.last().copied().unwrap_or(0.0);
     if lmax <= 0.0 {
-        ws.recycle(dec.vectors);
+        ws.recycle(vectors);
         return Ok(ZMat::zeros(p.rows(), 0));
     }
-    let keep: Vec<usize> = (0..m).filter(|&j| dec.values[j].re > rel_tol * lmax).collect();
-    let mut v = ws.take(m, keep.len());
-    for (jj, &j) in keep.iter().enumerate() {
-        let scale = 1.0 / dec.values[j].re.sqrt();
-        for i in 0..m {
-            v[(i, jj)] = dec.vectors[(i, j)].scale(scale);
+    let first = dec.values.partition_point(|&l| l <= rel_tol * lmax);
+    let mut v = ws.take_scratch(m, m - first);
+    for (jj, j) in (first..m).enumerate() {
+        let scale = 1.0 / dec.values[j].sqrt();
+        for (dst, src) in v.col_mut(jj).iter_mut().zip(vectors.col(j)) {
+            *dst = src.scale(scale);
         }
     }
-    ws.recycle(dec.vectors);
+    ws.recycle(vectors);
     // One QR pass cleans residual non-orthogonality (blocked compact-WY
     // QR over the same pool).
     let pv = ws.matmul(p, &v);
@@ -127,8 +128,9 @@ pub fn feast_annulus(
 }
 
 /// [`feast_annulus`] over a caller-supplied buffer pool: subspaces,
-/// quadrature solves, Rayleigh–Ritz reductions, the QR orthonormalization
-/// and the dense eigensolver all recycle through `ws`, so a warm OBC
+/// quadrature solves, the Gram-matrix Hermitian eigensolver and QR of the
+/// rank-truncated orthonormalization, the Rayleigh–Ritz reductions and
+/// their general eigensolver all recycle through `ws`, so a warm OBC
 /// sweep (one call per energy point against a shared pool) performs zero
 /// fresh matrix allocations — property-tested in the top-level suite.
 pub fn feast_annulus_ws(
@@ -137,17 +139,7 @@ pub fn feast_annulus_ws(
     ws: &Workspace,
 ) -> ObcOutcome<(FeastModes, FeastStats)> {
     let mut stats = FeastStats::default();
-    // Integration nodes: offset half-steps avoid band-edge eigenvalues at
-    // λ = ±1 landing exactly on a node.
-    let nodes: Vec<(Complex64, f64)> = (0..cfg.np)
-        .flat_map(|p| {
-            let theta = 2.0 * std::f64::consts::PI * (p as f64 + 0.5) / cfg.np as f64;
-            [
-                (Complex64::from_polar(cfg.r_outer, theta), 1.0),
-                (Complex64::from_polar(1.0 / cfg.r_outer, theta), -1.0),
-            ]
-        })
-        .collect();
+    let nodes = annulus_nodes(cfg);
     // One LU of P(z_p) per node, reused across refinements and RHS; the
     // polynomial evaluations cycle through the shared pool and the factors
     // adopt their buffers (handed back when the run returns).
@@ -176,6 +168,50 @@ pub fn feast_annulus_ws(
     }
 }
 
+/// Integration nodes `(z_p, ±1)` of the outer and inner circles: offset
+/// half-steps avoid band-edge eigenvalues at λ = ±1 landing exactly on a
+/// node.
+fn annulus_nodes(cfg: FeastConfig) -> Vec<(Complex64, f64)> {
+    (0..cfg.np)
+        .flat_map(|p| {
+            let theta = 2.0 * std::f64::consts::PI * (p as f64 + 0.5) / cfg.np as f64;
+            [
+                (Complex64::from_polar(cfg.r_outer, theta), 1.0),
+                (Complex64::from_polar(1.0 / cfg.r_outer, theta), -1.0),
+            ]
+        })
+        .collect()
+}
+
+/// The projector output `Σ_p w_p (z_p/N_p)(z_p B − A)⁻¹ B Y` (Eq. 10),
+/// one solve per node against its precomputed factorization.
+fn apply_projector(
+    pencil: &CompanionPencil,
+    cfg: FeastConfig,
+    nodes: &[(Complex64, f64)],
+    factors: &[qtx_linalg::LuFactors],
+    y: &ZMat,
+    ws: &Workspace,
+) -> ZMat {
+    let by = pencil.apply_b_ws(y, ws);
+    let partials: Vec<ZMat> = nodes
+        .par_iter()
+        .zip(factors)
+        .map(|(&(z, w), f)| {
+            let mut x = pencil.solve_shifted_ws(f, z, &by, ws);
+            x.scale_assign(z.scale(w / cfg.np as f64));
+            x
+        })
+        .collect();
+    let mut p_acc = ws.take(y.rows(), y.cols());
+    for p in partials {
+        p_acc.axpy(Complex64::ONE, &p);
+        ws.recycle(p);
+    }
+    ws.recycle(by);
+    p_acc
+}
+
 /// The refinement loop of [`feast_annulus_ws`], separated so the node
 /// factorizations can be recycled on every exit path.
 fn feast_core(
@@ -197,24 +233,8 @@ fn feast_core(
         let mut saturated = false;
         for it in 0..cfg.max_refine {
             stats.iterations += 1;
-            // Q = Σ_p w_p (z_p/N_p)(z_p B − A)⁻¹ B Y  (Eq. 10).
-            let by = pencil.apply_b_ws(&y, ws);
-            let partials: Vec<ZMat> = nodes
-                .par_iter()
-                .zip(factors)
-                .map(|(&(z, w), f)| {
-                    let mut x = pencil.solve_shifted_ws(f, z, &by, ws);
-                    x.scale_assign(z.scale(w / cfg.np as f64));
-                    x
-                })
-                .collect();
+            let p_acc = apply_projector(pencil, cfg, nodes, factors, &y, ws);
             stats.linear_solves += nodes.len();
-            let mut p_acc = ws.take(nbc, y.cols());
-            for p in partials {
-                p_acc.axpy(Complex64::ONE, &p);
-                ws.recycle(p);
-            }
-            ws.recycle(by);
             let q = match orthonormalize_rank(&p_acc, 1e-13, ws) {
                 Ok(q) => q,
                 Err(e) => {
@@ -466,6 +486,54 @@ mod tests {
         let (_, stats) = feast_annulus(&pencil, cfg).unwrap();
         assert!(stats.linear_solves >= 12, "2 circles × np solves at least");
         assert!(stats.iterations >= 1);
+    }
+
+    #[test]
+    fn gram_truncation_rank_matches_general_eigensolver() {
+        // The projector outputs of the test leads, truncated through the
+        // Hermitian eigensolver, keep exactly the rank the general
+        // eigensolver's spectrum of the same Gram matrix gives.
+        let mut h00 = ZMat::random(4, 4, 41);
+        h00.hermitianize();
+        let random4 = LeadBlocks::new(
+            h00,
+            ZMat::random(4, 4, 42).scaled(c64(0.45, 0.0)),
+            ZMat::identity(4),
+            ZMat::zeros(4, 4),
+        );
+        let gapped = LeadBlocks::new(
+            ZMat::from_diag(&[c64(-1.5, 0.0), c64(1.5, 0.0)]),
+            ZMat::from_diag(&[c64(0.35, 0.0), c64(-0.35, 0.0)]),
+            ZMat::identity(2),
+            ZMat::zeros(2, 2),
+        );
+        let chain = LeadBlocks::chain_1d(0.0, -1.0);
+        let default = FeastConfig::default();
+        let cases = [
+            (&chain, 0.4, default),
+            (&chain, -0.9, FeastConfig { np: 6, ..default }),
+            (&random4, 0.15, FeastConfig { r_outer: 3.0, ..default }),
+            (&gapped, 0.0, FeastConfig { r_outer: 8.0, np: 16, ..default }),
+        ];
+        let ws = Workspace::new();
+        for (lead, e, cfg) in cases {
+            let pencil = CompanionPencil::at_energy(lead, e, 0.0);
+            let nodes = annulus_nodes(cfg);
+            let factors: Vec<_> =
+                nodes.iter().map(|(z, _)| pencil.factor_poly_ws(*z, &ws).unwrap()).collect();
+            let nbc = pencil.nbc();
+            let mut y = ZMat::zeros(nbc, (pencil.nf + 8).min(nbc));
+            y.randomize(0x0f_ea_57);
+            let p = apply_projector(&pencil, cfg, &nodes, &factors, &y, &ws);
+            let rank = orthonormalize_rank(&p, 1e-13, &ws).unwrap().cols();
+            let mut g = ZMat::zeros(p.cols(), p.cols());
+            zherk(1.0, p.view(), Op::Adjoint, 0.0, &mut g);
+            let values = qtx_linalg::eig(&g).unwrap().values;
+            let lmax = values.iter().map(|v| v.re).fold(0.0, f64::max);
+            let reference = values.iter().filter(|v| v.re > 1e-13 * lmax).count();
+            assert_eq!(rank, reference, "lead nf = {} at E = {e}", lead.nf());
+            assert!(rank > 0, "in-band or slow evanescent modes must be kept");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! describe it. All OBC algorithms work on the energy-shifted blocks
 //! `T = E·S − H`.
 
-use qtx_linalg::{c64, ZMat};
+use qtx_linalg::{c64, EighJob, Workspace, ZMat};
 use serde::{Deserialize, Serialize};
 
 /// Folded nearest-neighbour lead description.
@@ -87,9 +87,10 @@ impl LeadBlocks {
         (t00, t01, t10)
     }
 
-    /// Band structure sample: eigenvalues of
-    /// `H(k) = H00 + H01·e^{ik} + H01ᴴ·e^{−ik}` against
-    /// `S(k)` — used to place energy grids and to locate band edges.
+    /// Band structure sample: ascending eigenvalues of the Hermitian-definite
+    /// pencil `H(k) = H00 + H01·e^{ik} + H01ᴴ·e^{−ik}` against `S(k)`
+    /// (values only, through [`qtx_linalg::eigh_generalized_ws`]) — used
+    /// to place energy grids and to locate band edges.
     pub fn bands_at(&self, k: f64) -> Vec<f64> {
         let phase = qtx_linalg::Complex64::from_phase(k);
         let hk = {
@@ -104,10 +105,9 @@ impl LeadBlocks {
             m.axpy(phase.conj(), &self.s01.adjoint());
             m
         };
-        let dec = qtx_linalg::eig_generalized(&hk, &sk).expect("band eigensolve");
-        let mut bands: Vec<f64> = dec.values.iter().map(|z| z.re).collect();
-        bands.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        bands
+        qtx_linalg::eigh_generalized_ws(&hk, &sk, EighJob::ValuesOnly, &Workspace::new())
+            .expect("band eigensolve")
+            .values
     }
 
     /// First dispersive band energy above `lo` at momentum `k`: bands are
